@@ -1,13 +1,12 @@
 """The offline workloads: ``repro-lofreq call`` on a whole BAM.
 
-Each call is one fresh process.  A run repeats the call until
-``--seconds`` have passed (at least :data:`MIN_CALLS` times) and reports
-medians; every call's VCF is checked.
+Each call is one fresh process.  A run repeats the call for about
+``--seconds`` (at least :data:`MIN_CALLS` times) and reports medians;
+every call's VCF is checked.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
@@ -42,11 +41,12 @@ SERVE_ABSENT = {
 
 
 class Checker:
-    """Correctness checks on one workload's VCFs."""
+    """Correctness checks on one run's VCFs: the first VCF a run
+    writes is the reference every later one must match byte for byte."""
 
-    def __init__(self, truth, expected: bytes = None) -> None:
+    def __init__(self, truth) -> None:
         self.truth = {tuple(t) for t in truth}
-        self.expected = expected
+        self.expected = None
         self.failures = []
 
     def check(self, res: dict, out: Path) -> float:
@@ -59,41 +59,53 @@ class Checker:
             self.expected = data
         elif data != self.expected:
             self.failures.append("VCF differs from the reference VCF")
-        return calc.jaccard(calc.vcf_keys(data.decode()), self.truth)
+            return 0.0
+        try:
+            return calc.jaccard(calc.vcf_keys(data.decode()), self.truth)
+        except (IndexError, ValueError):
+            self.failures.append("VCF is malformed")
+            return 0.0
 
 
-def serial_vcf(inp: inputs.Inputs, bam: str, fasta: str) -> bytes:
-    """The serial ``call`` VCF of this input set (cached beside it)."""
-    path = inp.directory / "serial.vcf"
-    if not path.exists():
-        out = procs.scratch("serial.vcf")
-        res = procs.run_call(["call", bam, "--reference", fasta, "--out", str(out)])
-        if res["rc"] != 0 or not out.exists():
-            raise RuntimeError(f"serial reference call failed (rc {res['rc']})")
-        os.replace(out, path)
-    return path.read_bytes()
-
-
-def _setup(inp_name: str, name: str, seed: int):
+def _setup(inp_name: str, seed: int):
     inp = inputs.ensure(procs.ROOT, inp_name, seed)
     sample = inp.samples[0]
     bam, fasta = inp.path(sample, "bam"), inp.path(sample, "fasta")
-    expected = serial_vcf(inp, bam, fasta) if name == "deep_scan_2w" else None
-    return inp, sample, bam, fasta, Checker(sample["truth"], expected)
+    return inp, sample, bam, fasta, Checker(sample["truth"])
+
+
+def serial_reference(name: str, bam: str, fasta: str, checker: Checker) -> int:
+    """For a workload with extra ``call`` flags, one untimed serial
+    ``call`` of the program under test becomes the run's reference VCF,
+    so every timed call must match serial output.  Returns the calls
+    made (0 or 1); a failed reference call is one of the checker's
+    failures."""
+    if not WORKLOADS[name][1]:
+        return 0
+    out = procs.scratch("serial.vcf")
+    checker.check(procs.run_call(["call", bam, "--reference", fasta, "--out", str(out)]), out)
+    if checker.failures:
+        checker.failures[-1] = f"serial reference call: {checker.failures[-1]}"
+    return 1
 
 
 def run(name: str, seed: int, seconds: float) -> dict:
     """Untraced run: end-to-end metrics."""
     inp_name, flags = WORKLOADS[name]
-    inp, sample, bam, fasta, checker = _setup(inp_name, name, seed)
+    inp, sample, bam, fasta, checker = _setup(inp_name, seed)
+    reference = serial_reference(name, bam, fasta, checker)
+    reference_failed = bool(checker.failures)
     walls, setups, latencies, peaks, jaccards = [], [], [], [], []
-    attempted = 0
+    calls = 0
     t_begin = time.perf_counter()
     while True:
         elapsed = time.perf_counter() - t_begin
-        if attempted >= MIN_CALLS and (elapsed >= seconds or elapsed > RUN_LIMIT_S):
+        # Start another call only if it would end nearer to ``seconds``
+        # than stopping now does.
+        typical = calc.median(latencies) if latencies else 0.0
+        if calls >= MIN_CALLS and (elapsed + typical / 2 >= seconds or elapsed > RUN_LIMIT_S):
             break
-        attempted += 1
+        calls += 1
         out = procs.scratch("calls.vcf")
         res = procs.run_call(["call", bam, "--reference", fasta, "--out", str(out), *flags])
         failures = len(checker.failures)
@@ -108,14 +120,9 @@ def run(name: str, seed: int, seconds: float) -> dict:
         peaks.append(res["peak_rss_mb"])
         jaccards.append(jaccard)
         out.unlink()
-    failed = attempted - len(walls)
-    if name == "deep_scan" and not checker.failures:
-        path = inp.directory / "serial.vcf"
-        if path.exists() and path.read_bytes() != checker.expected:
-            checker.failures.append("VCF differs from the cached serial VCF")
-            failed = attempted
-        elif not path.exists():
-            path.write_bytes(checker.expected)
+    attempted = reference + calls
+    # Without a serial reference no call could be checked against it.
+    failed = attempted if reference_failed else calls - len(walls)
     if not walls:
         raise RuntimeError(f"every call failed: {checker.failures}")
     wall = calc.median(walls)
@@ -152,9 +159,11 @@ def run_traced(name: str, seed: int, trace_path: Path) -> dict:
     overhead ratio compares it with their mean, which cancels a steady
     drift of the machine's speed)."""
     inp_name, flags = WORKLOADS[name]
-    inp, sample, bam, fasta, checker = _setup(inp_name, name, seed)
-    results = []
+    inp, sample, bam, fasta, checker = _setup(inp_name, seed)
+    reference = serial_reference(name, bam, fasta, checker)
+    reference_failed = bool(checker.failures)
     failed = 0
+    results = []
     for trace in (None, trace_path, None):
         out = procs.scratch("calls.vcf")
         res = procs.run_call(
@@ -173,8 +182,8 @@ def run_traced(name: str, seed: int, trace_path: Path) -> dict:
     metrics.update(SERVE_ABSENT)
     return {
         "metrics": metrics,
-        "attempted": len(results),
-        "failed": failed,
+        "attempted": reference + len(results),
+        "failed": reference + len(results) if reference_failed else failed,
         "failures": checker.failures,
         "summary": summary,
         "notes": {

@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload deep_scan --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload deep_scan --seed 1 --seconds 35 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off.
 ``--trace 1`` makes one untraced and one traced pass, prints the

@@ -25,11 +25,14 @@ import inputs
 import procs
 
 CLIENTS = 2
+#: The request mix is assumed, not measured: no request log or traffic
+#: measurement of ``serve`` exists to take it from (see NOTES.md).
 #: Share of requests that repeat an earlier request exactly, drawn from
 #: the last REPEAT_WINDOW fresh ones (well inside the server's default
 #: 256-entry result cache, however long the run).
 REPEAT_SHARE = 0.3
 REPEAT_WINDOW = 64
+#: Region sizes, log-uniform between these.
 REGION_MIN_BP, REGION_MAX_BP = 100, 2000
 #: Timed requests per run, at least, whatever ``--seconds`` says.
 MIN_REQUESTS = 100
