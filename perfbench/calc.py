@@ -18,15 +18,16 @@ def tail_percentile(
     samples: Sequence[float], pct: int = 90, min_beyond: int = 10
 ) -> Tuple[float, float, int]:
     """The ``pct`` percentile when at least ``min_beyond`` samples lie
-    beyond it, otherwise the largest sample.
+    beyond it, otherwise the median.
 
     Nearest-rank definition: the p-th percentile of ``n`` sorted samples
     is the one at rank ``ceil(p * n / 100)``, leaving ``n - rank``
-    samples beyond it (for p90, ten or more once ``n >= 100``).  Lowering
-    the percentile until ten samples lie beyond it would report a low
-    percentile for small ``n`` (p9 of 11 samples is their minimum), and
-    which percentile is reported would then change with the sample
-    count; the largest sample is the tail figure such runs support.
+    samples beyond it (for p90, ten or more once ``n >= 100``).  Fewer
+    samples support no tail figure: the largest of a handful of calls
+    is one outlier, and it spread 0.38 of its median over runs of the
+    same code, so such runs report their median and say so.  Lowering
+    the percentile until ten samples lie beyond it would make which
+    percentile is reported change with the sample count.
     Returns ``(value, percentile reported, samples beyond it)``.
     """
     ordered = sorted(samples)
@@ -36,7 +37,7 @@ def tail_percentile(
     rank = max(1, -(-pct * n // 100))
     if n - rank >= min_beyond:
         return float(ordered[rank - 1]), float(pct), n - rank
-    return float(ordered[-1]), 100.0, 0
+    return median(ordered), 50.0, n // 2
 
 
 def jaccard(a: Set[Hashable], b: Set[Hashable]) -> float:

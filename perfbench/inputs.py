@@ -158,6 +158,8 @@ def ensure(root: Path, name: str, seed: int) -> Inputs:
     ]
     meta = {"name": name, "seed": seed, "spec": spec, "samples": samples}
     (tmp / "meta.json").write_text(json.dumps(meta))
+    # Flush the new files now, not while the first calls are timed.
+    os.sync()
     try:
         tmp.rename(directory)
     except OSError:

@@ -1,8 +1,10 @@
 """The offline workloads: ``repro-lofreq call`` on a whole BAM.
 
-Each call is one fresh process.  A run repeats the call for about
-``--seconds`` (at least :data:`MIN_CALLS` times) and reports medians;
-every call's VCF is checked.
+Each call is one fresh process.  A run makes one untimed serial call,
+then repeats the workload's call for about ``--seconds`` (at least
+:data:`MIN_CALLS` times), with a calibration probe between calls, and
+reports medians of the scaled timings; every call's VCF is checked
+against the serial one.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import time
 from pathlib import Path
 
 import calc
+import calib
 import inputs
 import procs
 
@@ -74,14 +77,12 @@ def _setup(inp_name: str, seed: int):
     return inp, sample, bam, fasta, Checker(sample["truth"])
 
 
-def serial_reference(name: str, bam: str, fasta: str, checker: Checker) -> int:
-    """For a workload with extra ``call`` flags, one untimed serial
-    ``call`` of the program under test becomes the run's reference VCF,
-    so every timed call must match serial output.  Returns the calls
-    made (0 or 1); a failed reference call is one of the checker's
-    failures."""
-    if not WORKLOADS[name][1]:
-        return 0
+def serial_reference(bam: str, fasta: str, checker: Checker) -> int:
+    """One untimed serial ``call`` of the program under test: it warms
+    the page cache and the bytecode cache before anything is timed, and
+    its VCF is the run's reference, so every timed call (``--workers
+    2`` too) must match serial output.  Returns the calls made (1); a
+    failed reference call is one of the checker's failures."""
     out = procs.scratch("serial.vcf")
     checker.check(procs.run_call(["call", bam, "--reference", fasta, "--out", str(out)]), out)
     if checker.failures:
@@ -90,36 +91,46 @@ def serial_reference(name: str, bam: str, fasta: str, checker: Checker) -> int:
 
 
 def run(name: str, seed: int, seconds: float) -> dict:
-    """Untraced run: end-to-end metrics."""
+    """Untraced run: end-to-end metrics.  Each call's timings are
+    scaled by the calibration probes taken right before and after it
+    (see ``calib.py``)."""
     inp_name, flags = WORKLOADS[name]
     inp, sample, bam, fasta, checker = _setup(inp_name, seed)
-    reference = serial_reference(name, bam, fasta, checker)
+    reference = serial_reference(bam, fasta, checker)
     reference_failed = bool(checker.failures)
     walls, setups, latencies, peaks, jaccards = [], [], [], [], []
+    raw_walls, probes = [], []
     calls = 0
-    t_begin = time.perf_counter()
-    while True:
-        elapsed = time.perf_counter() - t_begin
-        # Start another call only if it would end nearer to ``seconds``
-        # than stopping now does.
-        typical = calc.median(latencies) if latencies else 0.0
-        if calls >= MIN_CALLS and (elapsed + typical / 2 >= seconds or elapsed > RUN_LIMIT_S):
-            break
-        calls += 1
-        out = procs.scratch("calls.vcf")
-        res = procs.run_call(["call", bam, "--reference", fasta, "--out", str(out), *flags])
-        failures = len(checker.failures)
-        jaccard = checker.check(res, out)
-        if res.get("first_decode_s") is None and res.get("rc") == 0:
-            checker.failures.append("no BAM record was decoded")
-        if len(checker.failures) > failures:
-            continue
-        walls.append(res["import_s"] + res["main_s"])
-        setups.append(res["import_s"] + res["first_decode_s"])
-        latencies.append(res["latency_s"])
-        peaks.append(res["peak_rss_mb"])
-        jaccards.append(jaccard)
-        out.unlink()
+    with calib.Prober() as prober:
+        probe = prober.probe()
+        probes.append(probe)
+        t_begin = time.perf_counter()
+        while True:
+            elapsed = time.perf_counter() - t_begin
+            # Start another call only if it would end nearer to
+            # ``seconds`` than stopping now does.
+            typical = calc.median(raw_walls) + probe if raw_walls else 0.0
+            if calls >= MIN_CALLS and (elapsed + typical / 2 >= seconds or elapsed > RUN_LIMIT_S):
+                break
+            calls += 1
+            out = procs.scratch("calls.vcf")
+            res = procs.run_call(["call", bam, "--reference", fasta, "--out", str(out), *flags])
+            before, probe = probe, prober.probe()
+            probes.append(probe)
+            scale = calib.factor((before, probe))
+            failures = len(checker.failures)
+            jaccard = checker.check(res, out)
+            if res.get("first_decode_s") is None and res.get("rc") == 0:
+                checker.failures.append("no BAM record was decoded")
+            if len(checker.failures) > failures:
+                continue
+            raw_walls.append(res["import_s"] + res["main_s"])
+            walls.append(raw_walls[-1] * scale)
+            setups.append((res["import_s"] + res["first_decode_s"]) * scale)
+            latencies.append(res["latency_s"] * scale)
+            peaks.append(res["peak_rss_mb"])
+            jaccards.append(jaccard)
+            out.unlink()
     attempted = reference + calls
     # Without a serial reference no call could be checked against it.
     failed = attempted if reference_failed else calls - len(walls)
@@ -144,7 +155,11 @@ def run(name: str, seed: int, seconds: float) -> dict:
         "failures": checker.failures,
         "notes": {
             "calls": len(walls),
+            "raw_wall_s": calc.median(raw_walls),
+            "probe_s": calc.median(probes),
             "wall_samples": walls,
+            "raw_wall_samples": raw_walls,
+            "probe_samples": probes,
             "request_p90_percentile": p90_pct,
             "request_p90_samples_beyond": beyond,
             "input_reads": inp.reads,
@@ -160,7 +175,7 @@ def run_traced(name: str, seed: int, trace_path: Path) -> dict:
     drift of the machine's speed)."""
     inp_name, flags = WORKLOADS[name]
     inp, sample, bam, fasta, checker = _setup(inp_name, seed)
-    reference = serial_reference(name, bam, fasta, checker)
+    reference = serial_reference(bam, fasta, checker)
     reference_failed = bool(checker.failures)
     failed = 0
     results = []

@@ -4,7 +4,9 @@ Usage (from the root of a checkout)::
 
     python3 perfbench/run.py --workload deep_scan --seed 1 --seconds 35 --trace 0
 
-``--trace 0`` measures the end-to-end metrics with tracing off.
+``--trace 0`` measures the end-to-end metrics with tracing off; every
+timing is scaled to a reference machine speed by calibration probes
+taken in the same run (``calib.py``).
 ``--trace 1`` makes one untraced and one traced pass, prints the
 per-layer self-time table, writes the spans as Chrome trace-event JSON
 under ``.perfbench/traces/`` and reports the per-layer metrics.  The

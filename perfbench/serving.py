@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 import calc
+import calib
 import inputs
 import procs
 
@@ -36,6 +37,8 @@ REPEAT_WINDOW = 64
 REGION_MIN_BP, REGION_MAX_BP = 100, 2000
 #: Timed requests per run, at least, whatever ``--seconds`` says.
 MIN_REQUESTS = 100
+#: Seconds of closed-loop requests between two calibration probes.
+SEGMENT_S = 3.0
 #: Requests per phase of the traced run (untraced, then traced).
 TRACED_REQUESTS = 100
 #: Server start-ups timed per run (``setup_s`` is their median).
@@ -99,18 +102,23 @@ class Workload:
         return time.perf_counter() - server.spawned
 
     def closed_loop(
-        self, server: procs.Server, seconds: Optional[float], limit: Optional[int] = None
+        self,
+        server: procs.Server,
+        start: int = 0,
+        stop_at: Optional[float] = None,
+        limit: Optional[int] = None,
     ) -> list:
-        """Drive the plan with CLIENTS closed-loop connections.
+        """Drive the plan from request ``start`` with CLIENTS closed-loop
+        connections.
 
-        Stops issuing at ``limit`` requests, or once ``seconds`` have
-        passed and MIN_REQUESTS were issued.  Returns one outcome
-        ``(t_send, t_reply, reply or None)`` per issued request.
+        Stops issuing at request ``limit``, or once ``perf_counter()``
+        passes ``stop_at``.  Returns one outcome ``(t_send, t_reply,
+        reply or None)`` per request of the plan, None for those not
+        issued.
         """
-        counter = itertools.count()
+        counter = itertools.count(start)
         lock = threading.Lock()
         outcomes: list = [None] * len(self.plan)
-        deadline = time.perf_counter() + (seconds or 0.0)
 
         def client() -> None:
             conn = procs.Connection(server.port)
@@ -120,7 +128,7 @@ class Workload:
                         i = next(counter)
                     if i >= len(self.plan) or (limit is not None and i >= limit):
                         return
-                    if limit is None and i >= MIN_REQUESTS and time.perf_counter() >= deadline:
+                    if stop_at is not None and time.perf_counter() >= stop_at:
                         return
                     t0 = time.perf_counter()
                     try:
@@ -207,29 +215,67 @@ def _phase(outcomes: list) -> Tuple[float, list]:
     return max(o[1] for o in done) - min(o[0] for o in done), done
 
 
+def _timed_phase(wl: Workload, server: procs.Server, prober: calib.Prober,
+                 probes: list, seconds: float) -> Tuple[list, list, list]:
+    """The timed requests: closed-loop segments of SEGMENT_S with a
+    calibration probe after each, until ``seconds`` have passed and
+    MIN_REQUESTS were issued.  The first probe is the last of
+    ``probes``; each new one is appended.  Returns the plan-aligned
+    outcomes, the scale of each request's segment, and ``(raw seconds,
+    scale)`` per segment."""
+    outcomes: list = [None] * len(wl.plan)
+    scales: list = [None] * len(wl.plan)
+    segments = []
+    start = 0
+    t_begin = time.perf_counter()
+    while start < MIN_REQUESTS or time.perf_counter() - t_begin < seconds:
+        seg = wl.closed_loop(server, start, stop_at=time.perf_counter() + SEGMENT_S)
+        probes.append(prober.probe())
+        scale = calib.factor(probes[-2:])
+        issued = [i for i, o in enumerate(seg) if o is not None]
+        if not issued:
+            wl.errors.append(f"no request issued from request {start} on")
+            break
+        for i in issued:
+            outcomes[i], scales[i] = seg[i], scale
+        segments.append((_phase(seg)[0], scale))
+        start = issued[-1] + 1
+    return outcomes, scales, segments
+
+
 def run(seed: int, seconds: float) -> dict:
-    """Untraced run: end-to-end metrics."""
+    """Untraced run: end-to-end metrics, every timing scaled by the
+    calibration probes around it (see ``calib.py``)."""
     wl = Workload(seed)
-    setups = []
-    for spawn in range(SETUP_SPAWNS):
-        server = procs.Server()
-        try:
-            setups.append(wl.warm_up(server))
-            if spawn == SETUP_SPAWNS - 1:
-                outcomes = wl.closed_loop(server, seconds)
-                peak = server.peak_rss_mb()
-        finally:
-            server.stop()
-    phase, done = _phase(outcomes)
+    setups, raw_setups = [], []
+    with calib.Prober() as prober:
+        probe = prober.probe()
+        probes = [probe]
+        for spawn in range(SETUP_SPAWNS):
+            server = procs.Server()
+            try:
+                raw_setups.append(wl.warm_up(server))
+                before, probe = probe, prober.probe()
+                probes.append(probe)
+                setups.append(raw_setups[-1] * calib.factor((before, probe)))
+                if spawn == SETUP_SPAWNS - 1:
+                    outcomes, scales, segments = _timed_phase(wl, server, prober, probes, seconds)
+                    peak = server.peak_rss_mb()
+            finally:
+                server.stop()
+    raw_phase = sum(raw for raw, _ in segments)
+    phase = sum(raw * scale for raw, scale in segments)
+    done = [i for i, o in enumerate(outcomes) if o is not None]
     # A failed request misses any latency target: it counts as having
     # waited the whole phase.
     latencies = [
-        (o[1] - o[0]) if o[2] is not None and o[2].get("status") == "ok" else phase
-        for o in done
+        (outcomes[i][1] - outcomes[i][0]) * scales[i]
+        if outcomes[i][2] is not None and outcomes[i][2].get("status") == "ok" else phase
+        for i in done
     ]
     wl.check_sample(outcomes)
     p90, p90_pct, beyond = calc.tail_percentile([x * 1000 for x in latencies])
-    keys = [wl.plan[i] for i, o in enumerate(outcomes) if o is not None]
+    keys = [wl.plan[i] for i in done]
     metrics = {
         "wall_s": sum(latencies) / len(latencies),
         "reads_per_s": wl.reads(outcomes) / phase,
@@ -247,10 +293,15 @@ def run(seed: int, seconds: float) -> dict:
         "failures": wl.errors,
         "notes": {
             "timed_requests": len(latencies),
+            "segments": len(segments),
+            "raw_requests_per_s": len(done) / raw_phase,
+            "probe_s": calc.median(probes),
+            "segment_scales": [scale for _, scale in segments],
             "request_p90_percentile": p90_pct,
             "request_p90_samples_beyond": beyond,
             "repeat_share": calc.repeat_share(keys),
             "setup_samples": setups,
+            "raw_setup_samples": raw_setups,
             "input_reads": wl.inp.reads,
             "input_columns": wl.inp.columns,
             "input_bam_bytes": wl.inp.bam_bytes,
@@ -267,7 +318,7 @@ def run_traced(seed: int, trace_path: Path) -> dict:
         server = procs.Server(trace=trace)
         try:
             wl.warm_up(server)
-            outcomes = wl.closed_loop(server, None, limit=TRACED_REQUESTS)
+            outcomes = wl.closed_loop(server, limit=TRACED_REQUESTS)
             phases.append(_phase(outcomes)[0])
             if trace is not None:
                 traced_outcomes = outcomes

@@ -3,6 +3,7 @@
 Run with ``python -m pytest perfbench/tests -q`` from the repo root.
 """
 
+import os
 import sys
 import threading
 import time
@@ -14,6 +15,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import calc  # noqa: E402
+import calib  # noqa: E402
 import serving  # noqa: E402
 import spans  # noqa: E402
 
@@ -32,11 +34,11 @@ def test_p90_kept_when_more_than_ten_beyond():
     assert calc.tail_percentile(list(range(1, 1001))) == (900.0, 90.0, 100)
 
 
-def test_fewer_than_ten_beyond_p90_reports_the_largest():
+def test_fewer_than_ten_beyond_p90_reports_the_median():
     # 99 samples leave only 9 beyond p90.
-    assert calc.tail_percentile(list(range(1, 100))) == (99.0, 100.0, 0)
-    assert calc.tail_percentile(list(range(1, 12))) == (11.0, 100.0, 0)
-    assert calc.tail_percentile([3.0, 1.0, 2.0]) == (3.0, 100.0, 0)
+    assert calc.tail_percentile(list(range(1, 100))) == (50.0, 50.0, 49)
+    assert calc.tail_percentile(list(range(1, 12))) == (6.0, 50.0, 5)
+    assert calc.tail_percentile([3.0, 1.0, 2.0, 4.0]) == (2.5, 50.0, 2)
     with pytest.raises(ValueError):
         calc.tail_percentile([])
 
@@ -82,6 +84,26 @@ def test_reads_overlapping_a_one_based_span():
     assert calc.reads_overlapping(starts, 10, 1, 10) == 1  # bases 0..9
     assert calc.reads_overlapping(starts, 10, 10, 11) == 2  # bases 9..10
     assert calc.reads_overlapping(starts, 10, 41, 50) == 0
+
+
+# -- calibration ----------------------------------------------------------------
+
+
+def test_calibration_scales_to_the_reference_speed():
+    ref = calib.REFERENCE_PROBE_S
+    assert calib.factor([ref, ref]) == pytest.approx(1.0)
+    # Probes twice as slow as the reference halve the timings between them.
+    assert calib.factor([2 * ref]) == pytest.approx(0.5)
+    # The scale uses the mean of the probes around the timing.
+    assert calib.factor([ref, 3 * ref]) == pytest.approx(0.5)
+
+
+def test_prober_times_every_cpu_and_stops_its_processes():
+    with calib.Prober() as prober:
+        assert prober.probe() > 0
+        procs = list(prober.procs)
+    assert len(procs) == len(os.sched_getaffinity(0))
+    assert all(p.returncode == 0 for p in procs)
 
 
 # -- self time ------------------------------------------------------------------
