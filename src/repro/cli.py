@@ -137,10 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_call.add_argument(
         "--engine",
-        choices=["streaming", "batched"],
-        default="streaming",
-        help="column evaluation: per-allele streaming loop or the "
-        "vectorised chunk-level batched engine (identical output)",
+        choices=["batched", "streaming"],
+        default="batched",
+        help="column evaluation: the vectorised batched engine "
+        "(default) or the per-allele streaming loop, kept as the "
+        "reference oracle (identical output)",
     )
     p_call.add_argument("--alpha", type=float, default=0.05)
     p_call.add_argument("--margin", type=float, default=0.01)

@@ -101,6 +101,11 @@ GUARD_BAND = 1e-6
 #: columns rather than the whole region.
 BATCH_COLUMNS = 1024
 
+#: Bases per vectorised pass of :func:`evaluate_batch`: the screen
+#: builds ~20 bytes of per-base key arrays, so 2**14 bases keep a pass
+#: within ~330 KiB however deep or wide the incoming batch is.
+BATCH_BASES = 1 << 14
+
 #: Ceiling on the survivor-plane size (lanes x reads, float64) handed
 #: to one :func:`poibin_sf_dp_batch` call: 2^23 elements = 64 MiB.
 #: Keeps the exact stage's memory a constant regardless of how deep
@@ -433,9 +438,10 @@ def exact_batch(
 
     # When survivors cover a sizeable fraction of the batch (the
     # no-approximation regime), one whole-plane table gather beats a
-    # per-column gather apiece; otherwise stay sparse.
+    # per-column gather apiece; otherwise stay sparse.  (Distinct
+    # columns by bincount: np.unique would import numpy.ma, ~0.6 MB.)
     survivor_bases = int(
-        np.diff(offsets)[np.unique(pair_col)].sum()
+        np.diff(offsets)[np.flatnonzero(np.bincount(pair_col))].sum()
     )
     probs_flat: Optional[np.ndarray] = None
     if survivor_bases * 4 >= int(offsets[-1]):
@@ -571,22 +577,26 @@ def evaluate_batch(
     and censuses match the streaming engine exactly (see the module
     docstring for why).
     """
-    if batch.n_columns > BATCH_COLUMNS:
+    n = batch.n_columns
+    offsets = batch.offsets
+    if n > BATCH_COLUMNS or int(offsets[-1]) > BATCH_BASES:
         # Bound the screen's per-column histograms (256 bins each) to
         # a constant number of columns, exactly like the loose-column
-        # buffering path.
+        # buffering path, and its per-base key arrays to a constant
+        # number of bases (at least one column per slice).
         calls: List[VariantCall] = []
-        for lo in range(0, batch.n_columns, BATCH_COLUMNS):
+        lo = 0
+        while lo < n:
+            hi = int(
+                np.searchsorted(offsets, offsets[lo] + BATCH_BASES, "right")
+            ) - 1
+            hi = min(max(hi, lo + 1), lo + BATCH_COLUMNS, n)
+            sub = batch.slice_columns(lo, hi)
+            survivors = screen_batch(sub, corrected_alpha, config, stats)
             calls.extend(
-                evaluate_batch(
-                    batch.slice_columns(
-                        lo, min(lo + BATCH_COLUMNS, batch.n_columns)
-                    ),
-                    corrected_alpha,
-                    config,
-                    stats,
-                )
+                exact_batch(sub, survivors, corrected_alpha, config, stats)
             )
+            lo = hi
         return calls
     survivors = screen_batch(batch, corrected_alpha, config, stats)
     return exact_batch(batch, survivors, corrected_alpha, config, stats)

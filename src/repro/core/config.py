@@ -48,12 +48,13 @@ class CallerConfig:
             probability.
         early_stop: enable LoFreq's DP pruning (running tail already
             above threshold => abandon).
-        engine: column-evaluation strategy.  ``"streaming"`` runs the
-            Figure 1b workflow one allele at a time;  ``"batched"``
-            screens every (column, allele) pair of a chunk in one
-            vectorised Poisson-tail pass and only loops over the
-            screening survivors (identical calls and decision counts,
-            see :mod:`repro.core.batched`).
+        engine: column-evaluation strategy.  ``"batched"`` (the
+            default) screens every (column, allele) pair of a chunk in
+            one vectorised Poisson-tail pass and only loops over the
+            screening survivors; ``"streaming"`` runs the Figure 1b
+            workflow one allele at a time and is kept as the reference
+            oracle the batched engine is tested against (identical
+            calls and decision counts, see :mod:`repro.core.batched`).
     """
 
     alpha: float = 0.05
@@ -67,7 +68,7 @@ class CallerConfig:
     min_af: float = 0.0
     merge_mapq: bool = False
     early_stop: bool = True
-    engine: str = "streaming"
+    engine: str = "batched"
 
     def __post_init__(self) -> None:
         if self.engine not in ("streaming", "batched"):

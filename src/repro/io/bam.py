@@ -32,7 +32,7 @@ from typing import (
 import numpy as np
 
 from repro.io.bgzf import BgzfReader, BgzfWriter, SharedBlockCache
-from repro.io.cigar import CONSUMES_QUERY, CONSUMES_REFERENCE, CigarOp
+from repro.io.cigar import CigarOp, aligned_blocks
 from repro.io.records import AlignedRead, SamHeader
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "read_bam",
     "BamWriter",
     "BamReader",
+    "BamFormatError",
     "aligned_base_arrays",
     "encode_record",
     "decode_record",
@@ -53,7 +54,18 @@ BAM_MAGIC = b"BAM\x01"
 #: BAM 4-bit base codes ("=ACMGRSVTWYHKDBN").
 SEQ_NIBBLES = "=ACMGRSVTWYHKDBN"
 _BASE_TO_NIBBLE = {b: i for i, b in enumerate(SEQ_NIBBLES)}
-_NIBBLE_TO_BASE = {i: b for i, b in enumerate(SEQ_NIBBLES)}
+#: ``bytes.translate`` table from the hex digits of a packed sequence
+#: (``bytes.hex`` writes each byte's high nibble first, which is BAM's
+#: base order) to the bases they encode.
+_HEX_TO_BASE = bytes(
+    ord(SEQ_NIBBLES[int(chr(c), 16)])
+    if chr(c) in "0123456789abcdef"
+    else c
+    for c in range(256)
+)
+#: CIGAR op code -> :class:`CigarOp` member (codes 9-15 are invalid).
+_CIGAR_OPS = tuple(CigarOp)
+_CORE = struct.Struct("<iiBBHHHiiii")
 
 _TAG_PACK = {
     "c": ("<b", int),
@@ -103,12 +115,23 @@ def _pack_seq(seq: str) -> bytes:
 
 
 def _unpack_seq(data: bytes, n: int) -> str:
-    out = []
-    for i in range(n):
-        byte = data[i // 2]
-        nib = (byte >> 4) if i % 2 == 0 else (byte & 0xF)
-        out.append(_NIBBLE_TO_BASE[nib])
-    return "".join(out)
+    """The first ``n`` bases of a nibble-packed sequence."""
+    return data.hex().encode("ascii").translate(_HEX_TO_BASE)[:n].decode(
+        "ascii"
+    )
+
+
+class BamFormatError(ValueError):
+    """A BAM record body is truncated or internally inconsistent.
+
+    Attributes:
+        field: the record field that failed its check (``"l_seq"``,
+            ``"tags"``, ...).
+    """
+
+    def __init__(self, field: str, detail: str) -> None:
+        super().__init__(f"malformed BAM record: {field}: {detail}")
+        self.field = field
 
 
 def _encode_tags(tags: Dict[str, Tuple[str, Any]]) -> bytes:
@@ -146,75 +169,93 @@ def _encode_tags(tags: Dict[str, Tuple[str, Any]]) -> bytes:
     return bytes(out)
 
 
-def _decode_tags(data: bytes) -> Dict[str, Tuple[str, Any]]:
+_TAG_DTYPES = {
+    "c": "<i1",
+    "C": "<u1",
+    "s": "<i2",
+    "S": "<u2",
+    "i": "<i4",
+    "I": "<u4",
+    "f": "<f4",
+}
+
+
+def _ascii(raw: bytes, field: str) -> str:
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise BamFormatError(field, f"not ASCII: {raw[:16]!r}") from None
+
+
+def _decode_tags(data: bytes, i: int = 0) -> Dict[str, Tuple[str, Any]]:
+    """The optional fields of ``data[i:]``.
+
+    Raises:
+        BamFormatError: on a truncated field, an unknown type or a
+            non-ASCII name or string.
+    """
     tags: Dict[str, Tuple[str, Any]] = {}
-    i = 0
-    while i < len(data):
-        tag = data[i : i + 2].decode("ascii")
+    n = len(data)
+    while i < n:
+        if i + 3 > n:
+            raise BamFormatError("tags", "truncated tag header")
+        tag = _ascii(data[i : i + 2], "tags")
         typ = chr(data[i + 2])
         i += 3
         if typ == "A":
+            if i >= n:
+                raise BamFormatError("tags", f"{tag}:A value missing")
             tags[tag] = ("A", chr(data[i]))
             i += 1
         elif typ in _TAG_PACK:
             fmt, _ = _TAG_PACK[typ]
             size = struct.calcsize(fmt)
-            (val,) = struct.unpack(fmt, data[i : i + size])
+            if i + size > n:
+                raise BamFormatError("tags", f"{tag}:{typ} value truncated")
+            (val,) = struct.unpack_from(fmt, data, i)
             tags[tag] = (typ, val)
             i += size
         elif typ == "Z":
-            end = data.index(b"\x00", i)
-            tags[tag] = ("Z", data[i:end].decode("ascii"))
+            end = data.find(b"\x00", i)
+            if end < 0:
+                raise BamFormatError("tags", f"{tag}:Z string unterminated")
+            tags[tag] = ("Z", _ascii(data[i:end], "tags"))
             i = end + 1
         elif typ == "B":
+            if i + 5 > n:
+                raise BamFormatError("tags", f"{tag}:B header truncated")
             sub = chr(data[i])
-            (count,) = struct.unpack("<i", data[i + 1 : i + 5])
+            if sub not in _TAG_DTYPES:
+                raise BamFormatError(
+                    "tags", f"unsupported B-array subtype {sub!r}"
+                )
+            (count,) = struct.unpack_from("<i", data, i + 1)
             i += 5
-            fmt, _ = _TAG_PACK[sub]
-            size = struct.calcsize(fmt)
-            vals = [
-                struct.unpack(fmt, data[i + j * size : i + (j + 1) * size])[0]
-                for j in range(count)
-            ]
-            dtype = {
-                "c": np.int8,
-                "C": np.uint8,
-                "s": np.int16,
-                "S": np.uint16,
-                "i": np.int32,
-                "I": np.uint32,
-                "f": np.float32,
-            }[sub]
-            tags[tag] = ("B", (sub, np.array(vals, dtype=dtype)))
-            i += count * size
+            dtype = np.dtype(_TAG_DTYPES[sub])
+            if count < 0 or i + count * dtype.itemsize > n:
+                raise BamFormatError("tags", f"{tag}:B array truncated")
+            vals = np.frombuffer(data, dtype=dtype, count=count, offset=i)
+            tags[tag] = ("B", (sub, vals.astype(dtype.newbyteorder("="))))
+            i += count * dtype.itemsize
         else:
-            raise ValueError(f"unsupported BAM tag type {typ!r}")
+            raise BamFormatError("tags", f"unsupported tag type {typ!r}")
     return tags
 
 
 def aligned_base_arrays(
     read: AlignedRead,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columnar deposit path: one record's aligned bases as flat
-    arrays ``(reference positions int64, base codes uint8, quals
-    uint8)``.
+    """One record's aligned bases as flat arrays ``(reference
+    positions int64, base codes uint8, quals uint8)``.
 
-    CIGAR-expanded in O(#operations) array slices -- no per-base
-    Python tuples -- with semantics matching the streaming pileup's
-    deposit loop exactly: only operations consuming both query and
-    reference contribute; base codes follow
+    Only operations consuming both query and reference contribute
+    (:func:`repro.io.cigar.aligned_blocks`); base codes follow
     ``BASE_TO_CODE.get(char, N_CODE)`` (no case folding); a missing
     quality string reads as all-zero qualities (which the default
-    ``min_baseq`` then drops, as in the streaming engine).
-
-    This is the decode half of the streaming columnar spine: each
-    record's arrays feed
-    :meth:`repro.pileup.vectorized.ColumnBatchBuilder.add_read` as
-    one zero-copy segment (the ungapped common case returns direct
-    views into the record), and the builder flushes bounded
-    :class:`~repro.pileup.column.ColumnBatch` work units as the
-    coordinate-sorted scan advances -- BAM bytes to screened batches
-    without a whole-chunk array anywhere.
+    ``min_baseq`` then drops, as in the streaming engine) -- the
+    per-base view of exactly what
+    :meth:`repro.pileup.vectorized.ColumnBatchBuilder.add_read`
+    deposits block by block.
     """
     from repro.pileup.column import encode_read_bases
 
@@ -223,35 +264,19 @@ def aligned_base_arrays(
         qual = np.asarray(read.qual, dtype=np.uint8)
     else:
         qual = np.zeros(len(read.seq), dtype=np.uint8)
-    pos_parts: List[np.ndarray] = []
-    code_parts: List[np.ndarray] = []
-    qual_parts: List[np.ndarray] = []
-    qi = 0
-    ri = read.pos
-    for op, length in read.cigar:
-        op = CigarOp(op)
-        in_q = op in CONSUMES_QUERY
-        in_r = op in CONSUMES_REFERENCE
-        if in_q and in_r:
-            pos_parts.append(np.arange(ri, ri + length, dtype=np.int64))
-            code_parts.append(seq_codes[qi : qi + length])
-            qual_parts.append(qual[qi : qi + length])
-            qi += length
-            ri += length
-        elif in_q:
-            qi += length
-        elif in_r:
-            ri += length
-    if not pos_parts:
-        empty = np.zeros(0, dtype=np.uint8)
-        return np.zeros(0, dtype=np.int64), empty, empty.copy()
-    if len(pos_parts) == 1:
-        # The ungapped common case: zero-copy views into the record.
-        return pos_parts[0], code_parts[0], qual_parts[0]
+    blocks = aligned_blocks(read.cigar, read.pos)
+    if not blocks:
+        return (
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.uint8),
+            np.zeros(0, dtype=np.uint8),
+        )
     return (
-        np.concatenate(pos_parts),
-        np.concatenate(code_parts),
-        np.concatenate(qual_parts),
+        np.concatenate(
+            [np.arange(r, r + n, dtype=np.int64) for r, _, n in blocks]
+        ),
+        np.concatenate([seq_codes[q : q + n] for _, q, n in blocks]),
+        np.concatenate([qual[q : q + n] for _, q, n in blocks]),
     )
 
 
@@ -309,7 +334,19 @@ def encode_record(read: AlignedRead, header: SamHeader) -> bytes:
 
 
 def decode_record(body: bytes, header: SamHeader) -> AlignedRead:
-    """Inverse of :func:`encode_record`."""
+    """Inverse of :func:`encode_record`.
+
+    Every length field is checked against ``len(body)`` before it is
+    used, so a truncated or corrupted record cannot decode into a
+    short sequence or escape as an ``IndexError``/``struct.error``.
+
+    Raises:
+        BamFormatError: naming the first field that is inconsistent
+            with the body (or with the header's reference list).
+    """
+    size = len(body)
+    if size < 32:
+        raise BamFormatError("block_size", f"{size} bytes, core needs 32")
     (
         ref_id,
         pos,
@@ -322,40 +359,58 @@ def decode_record(body: bytes, header: SamHeader) -> AlignedRead:
         next_ref_id,
         pnext,
         tlen,
-    ) = struct.unpack("<iiBBHHHiiii", body[:32])
-    off = 32
-    qname = body[off : off + l_read_name - 1].decode("ascii")
-    off += l_read_name
-    cigar: List[Tuple[CigarOp, int]] = []
-    for _ in range(n_cigar):
-        (word,) = struct.unpack("<I", body[off : off + 4])
-        cigar.append((CigarOp(word & 0xF), word >> 4))
-        off += 4
-    seq = _unpack_seq(body[off : off + (l_seq + 1) // 2], l_seq)
-    off += (l_seq + 1) // 2
-    qual_raw = body[off : off + l_seq]
-    off += l_seq
-    if qual_raw == b"\xff" * l_seq and l_seq:
+    ) = _CORE.unpack_from(body)
+    off = 32 + l_read_name
+    if l_read_name < 1 or off > size:
+        raise BamFormatError(
+            "l_read_name", f"{l_read_name} does not fit {size} bytes"
+        )
+    qname = _ascii(body[32 : off - 1], "read_name")
+    end = off + 4 * n_cigar
+    if end > size:
+        raise BamFormatError("n_cigar", f"{n_cigar} does not fit {size} bytes")
+    words = struct.unpack_from(f"<{n_cigar}I", body, off)
+    try:
+        cigar = [(_CIGAR_OPS[w & 0xF], w >> 4) for w in words]
+    except IndexError:
+        raise BamFormatError("cigar", "operation code above 8") from None
+    off = end
+    n_packed = (l_seq + 1) // 2
+    end = off + n_packed + l_seq
+    if l_seq < 0 or end > size:
+        raise BamFormatError("l_seq", f"{l_seq} does not fit {size} bytes")
+    seq = _unpack_seq(body[off : off + n_packed], l_seq)
+    off += n_packed
+    if l_seq and body[off] == 0xFF and body[off:end] == b"\xff" * l_seq:
         qual = np.zeros(l_seq, dtype=np.uint8)
     else:
-        qual = np.frombuffer(qual_raw, dtype=np.uint8).copy()
-    tags = _decode_tags(body[off:])
+        qual = np.frombuffer(body, dtype=np.uint8, count=l_seq, offset=off)
+        qual = qual.copy()
+    tags = _decode_tags(body, end) if end < size else {}
+    n_refs = len(header.references)
+    if ref_id >= n_refs or next_ref_id >= n_refs:
+        raise BamFormatError(
+            "ref_id", f"{max(ref_id, next_ref_id)} not below {n_refs}"
+        )
     rname = header.references[ref_id][0] if ref_id >= 0 else "*"
     rnext = header.references[next_ref_id][0] if next_ref_id >= 0 else "*"
-    return AlignedRead(
-        qname=qname,
-        flag=flag,
-        rname=rname,
-        pos=pos,
-        mapq=mapq,
-        cigar=cigar,
-        seq=seq,
-        qual=qual,
-        rnext=rnext,
-        pnext=pnext,
-        tlen=tlen,
-        tags=tags,
-    )
+    try:
+        return AlignedRead(
+            qname=qname,
+            flag=flag,
+            rname=rname,
+            pos=pos,
+            mapq=mapq,
+            cigar=cigar,
+            seq=seq,
+            qual=qual,
+            rnext=rnext,
+            pnext=pnext,
+            tlen=tlen,
+            tags=tags,
+        )
+    except ValueError as exc:
+        raise BamFormatError("cigar", str(exc)) from None
 
 
 class BamWriter:
@@ -494,6 +549,10 @@ class BamReader:
         if len(size_raw) < 4:
             raise EOFError("truncated BAM record length")
         (block_size,) = struct.unpack("<i", size_raw)
+        if block_size < 32:
+            raise BamFormatError(
+                "block_size", f"{block_size}, core needs 32 bytes"
+            )
         body = self._bgzf.readexact(block_size)
         return decode_record(body, self.header)
 

@@ -30,10 +30,12 @@ __all__ = [
     "CIGAR_OPS",
     "CONSUMES_QUERY",
     "CONSUMES_REFERENCE",
+    "ALIGNED_OPS",
     "parse_cigar",
     "cigar_to_string",
     "query_length",
     "reference_length",
+    "aligned_blocks",
     "aligned_pairs",
     "clip_lengths",
     "validate_cigar",
@@ -83,6 +85,9 @@ CONSUMES_QUERY = frozenset(
 CONSUMES_REFERENCE = frozenset(
     {CigarOp.M, CigarOp.D, CigarOp.N, CigarOp.EQ, CigarOp.X}
 )
+
+#: Operations that consume both: the aligned (pileup-depositing) bases.
+ALIGNED_OPS = CONSUMES_QUERY & CONSUMES_REFERENCE
 
 Cigar = List[Tuple[CigarOp, int]]
 
@@ -185,6 +190,34 @@ def aligned_pairs(
         # H and P consume neither side and yield nothing.
 
 
+def aligned_blocks(
+    cigar: Sequence[Tuple[CigarOp, int]], pos: int
+) -> List[Tuple[int, int, int]]:
+    """The aligned blocks of an alignment: one ``(reference_start,
+    query_start, length)`` triple per run of operations consuming both
+    query and reference (``M``/``=``/``X``), in CIGAR order.
+
+    Within a block, query base ``query_start + j`` sits on reference
+    position ``reference_start + j``; everything outside the blocks
+    (insertions, clips, deletions, skips) deposits no base.  Blocks of
+    one alignment are disjoint and increase on both axes.
+    """
+    blocks: List[Tuple[int, int, int]] = []
+    qi = 0
+    ri = pos
+    for op, length in cigar:
+        op = CigarOp(op)
+        in_q = op in CONSUMES_QUERY
+        in_r = op in CONSUMES_REFERENCE
+        if in_q and in_r:
+            blocks.append((ri, qi, length))
+        if in_q:
+            qi += length
+        if in_r:
+            ri += length
+    return blocks
+
+
 def validate_cigar(
     cigar: Sequence[Tuple[CigarOp, int]], seq_len: int | None = None
 ) -> None:
@@ -198,6 +231,22 @@ def validate_cigar(
     Raises:
         ValueError: describing the first violated constraint.
     """
+    if len(cigar) == 1:
+        # One operation (the common ungapped read): no clip placement
+        # to check, so only the op code, the length and SEQ remain --
+        # raising exactly what the general path would.
+        op, length = cigar[0]
+        op = CigarOp(op)
+        if length <= 0:
+            raise ValueError("CIGAR operation lengths must be positive")
+        if seq_len is not None:
+            qlen = length if op in CONSUMES_QUERY else 0
+            if qlen != seq_len:
+                raise ValueError(
+                    f"CIGAR consumes {qlen} query bases but SEQ length "
+                    f"is {seq_len}"
+                )
+        return
     ops = [CigarOp(op) for op, _ in cigar]
     for op, length in cigar:
         if length <= 0:

@@ -73,6 +73,7 @@ class Tracer:
 
     def __init__(self) -> None:
         self._events: List[TraceEvent] = []
+        self._busy: Dict[tuple, float] = {}
         self._lock = threading.Lock()
         self.t0 = time.perf_counter()
 
@@ -82,6 +83,14 @@ class Tracer:
         """Record an interval (perf_counter timestamps)."""
         with self._lock:
             self._events.append(TraceEvent(worker, category, start, end))
+            key = (worker, category)
+            self._busy[key] = self._busy.get(key, 0.0) + (end - start)
+
+    def busy(self, worker: int, *categories: Category) -> float:
+        """Seconds ``worker`` has spent in ``categories`` so far (a
+        running total, so callers can time a stage by difference)."""
+        with self._lock:
+            return sum(self._busy.get((worker, c), 0.0) for c in categories)
 
     def span(self, worker: int, category: Category) -> "_Span":
         return _Span(self, worker, category)
@@ -94,8 +103,8 @@ class Tracer:
     def merge(self, other: "Tracer") -> None:
         """Fold another tracer's events in (process-backend workers
         return their tracers by value)."""
-        with self._lock:
-            self._events.extend(other.events)
+        for e in other.events:
+            self.record(e.worker, e.category, e.start, e.end)
 
 
 class _Span:

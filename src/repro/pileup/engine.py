@@ -215,12 +215,12 @@ def pileup_batches(
     ``batch_columns`` columns, never materialising the per-column
     :class:`PileupColumn` objects in between.
 
-    Since PR 5 this delegates to the incremental
-    :class:`~repro.pileup.vectorized.ColumnBatchBuilder` (the
-    per-base Python list accumulators are gone): reads are deposited
-    as flat segment arrays and a completed window is flushed as soon
-    as the scan passes it, so memory stays proportional to one flush
-    window -- read length x depth plus ``batch_columns`` columns --
+    This delegates to the incremental
+    :class:`~repro.pileup.vectorized.ColumnBatchBuilder`: reads are
+    buffered as flat aligned blocks and a completed window is flushed
+    as soon as the scan passes it, so memory stays proportional to one
+    bounded window -- read length x depth plus at most
+    :data:`~repro.pileup.vectorized.PENDING_BASE_BUDGET` new bases --
     and the columns covered are identical to :func:`pileup`.
     ``batch_columns=None`` emits one batch for the whole region.
 

@@ -15,10 +15,10 @@ Three producers share that core:
 * :func:`pileup_batch_from_arrays` / :func:`pileup_sample_batch` --
   the ungapped read-matrix representation of
   :class:`repro.sim.reads.ReadSimulator` samples;
-* :func:`pileup_batch_from_reads` -- CIGAR-aware alignments (BAM/SAM
-  records), whose aligned bases are decoded straight into flat arrays
-  by :func:`repro.io.bam.aligned_base_arrays` instead of one
-  interpreter round-trip per base.
+* :func:`pileup_batch_from_reads` / :class:`ColumnBatchBuilder` --
+  CIGAR-aware alignments (BAM/SAM records), whose aligned blocks are
+  appended to flat byte buffers and deposited column-major a window at
+  a time instead of one interpreter round-trip per base.
 
 The test suite checks all paths produce columns identical to the
 streaming engine; benchmarks use these so that -- as in the C original
@@ -28,13 +28,15 @@ the measured runtimes.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.io.cigar import ALIGNED_OPS, aligned_blocks
 from repro.io.records import AlignedRead
 from repro.io.regions import Region
-from repro.pileup.column import ColumnBatch, PileupColumn
+from repro.pileup.column import SEQ_CODE_LUT, ColumnBatch, PileupColumn
 from repro.pileup.engine import BATCH_SWEEP_COLUMNS, PileupConfig
 
 __all__ = [
@@ -53,6 +55,29 @@ __all__ = [
 #: engine's internal slice size so one flushed batch feeds one
 #: vectorised screening pass.
 BUILDER_BATCH_COLUMNS = BATCH_SWEEP_COLUMNS
+
+#: Most bases one :class:`ColumnBatchBuilder` window (and so one
+#: emitted batch) holds, and most bases the builder takes in between
+#: flushes on top of those of the reads overlapping the scan frontier.
+#: A window costs ~4 bytes per base while its batch lives (codes,
+#: qualities and one packed code/strand/mapq word), so 2**18 bases
+#: bound a batch near 1 MiB at any depth (~87 columns at 3000x; at
+#: 40x the column cap flushes first).
+PENDING_BASE_BUDGET = 1 << 18
+
+#: Bases a window is assembled in at a time: the index and
+#: permutation arrays of a slice cost ~30 bytes per base while they
+#: live, so slices of 2**13 bases keep them near 256 KiB.  Measured
+#: peak RSS of ``serve`` with two workers under 2500 region requests
+#: at 40x: 50.7 MB, against 52.1 MB with 2**15-base slices and
+#: 47.4 MB for the streaming engine.
+ASSEMBLY_BASES = 1 << 13
+
+#: ``bytes.translate`` tables from read bases to the builder's packed
+#: byte: the base code (``BASE_TO_CODE``, unknown -> ``N``) with the
+#: read's strand in bit 3.
+_FORWARD_CODES = SEQ_CODE_LUT.tobytes()
+_REVERSE_CODES = (SEQ_CODE_LUT | np.uint8(8)).tobytes()
 
 
 def _ref_bases_at(reference: str, positions: np.ndarray) -> str:
@@ -74,12 +99,10 @@ def _batch_from_flat(
     positions: np.ndarray,
     codes: np.ndarray,
     quals: np.ndarray,
-    reverse: Optional[np.ndarray],
-    mapqs: Optional[np.ndarray],
+    reverse: np.ndarray,
+    mapqs: np.ndarray,
     reference: str,
     cfg: PileupConfig,
-    *,
-    planes: Optional[Callable[[], Tuple[np.ndarray, np.ndarray]]] = None,
 ) -> ColumnBatch:
     """Assemble a batch from flat per-base arrays.
 
@@ -87,12 +110,6 @@ def _batch_from_flat(
     column, bases appear in read-deposit order -- that ordering is what
     makes the depth cap (keep the first ``max_depth``) agree with the
     streaming engine exactly.
-
-    The strand/mapq planes are either eager arrays or a deferred
-    ``planes`` thunk (producing the sorted-order pair); a deferred
-    thunk is carried into the batch, composed with the depth-cap mask
-    when one applies, so the scatters never run unless something
-    downstream reads the planes.
     """
     if positions.size == 0:
         return ColumnBatch.empty(chrom)
@@ -102,13 +119,48 @@ def _batch_from_flat(
     first[0] = True
     np.not_equal(positions[1:], positions[:-1], out=first[1:])
     first_idx = np.nonzero(first)[0]
-    unique_pos = positions[first_idx]
-    boundaries = np.append(first_idx, positions.size)
-    depths = np.diff(boundaries)
+    return _batch_from_columns(
+        chrom,
+        positions[first_idx],
+        np.diff(np.append(first_idx, positions.size)),
+        codes,
+        quals,
+        reference,
+        cfg,
+        reverse=reverse,
+        mapqs=mapqs,
+    )
+
+
+def _batch_from_columns(
+    chrom: str,
+    unique_pos: np.ndarray,
+    depths: np.ndarray,
+    codes: np.ndarray,
+    quals: np.ndarray,
+    reference: str,
+    cfg: PileupConfig,
+    *,
+    reverse: Optional[np.ndarray] = None,
+    mapqs: Optional[np.ndarray] = None,
+    planes: Optional[Callable[[], Tuple[np.ndarray, np.ndarray]]] = None,
+) -> ColumnBatch:
+    """Assemble a batch from its (non-empty) columns' positions and
+    depths and the column-major per-base arrays, applying the depth
+    cap.
+
+    The strand/mapq planes are either eager arrays or a deferred
+    ``planes`` thunk (producing the sorted-order pair); a deferred
+    thunk is carried into the batch, composed with the depth-cap mask
+    when one applies, so the planes are never built unless something
+    downstream reads them.
+    """
     if int(depths.max()) > cfg.max_depth:
         # Vectorised first-come cap: index of each base within its
         # column, keep only the first max_depth of them.
-        within = np.arange(positions.size) - np.repeat(boundaries[:-1], depths)
+        within = np.arange(codes.size) - np.repeat(
+            np.cumsum(depths) - depths, depths
+        )
         keep = within < cfg.max_depth
         codes = codes[keep]
         quals = quals[keep]
@@ -412,19 +464,27 @@ class ColumnBatchBuilder:
     """Incremental, bounded-memory columnar pileup construction.
 
     Reads arrive one at a time in coordinate order (the order a sorted
-    BAM yields them); each read's aligned bases are deposited as flat
-    per-read *segment arrays* -- no per-base Python lists anywhere --
-    and, because every later read starts at or after the current one,
-    all columns strictly left of the newest read's start are complete.
-    As soon as the scan passes ``batch_columns`` reference positions,
-    the completed window is assembled into a
-    :class:`~repro.pileup.column.ColumnBatch` and emitted (sliced
-    zero-copy into work units of at most ``batch_columns`` columns,
-    strand/mapq planes still lazy), and its segments are released.
+    BAM yields them).  Each read's aligned blocks
+    (:func:`repro.io.cigar.aligned_blocks`) are appended to flat
+    pending buffers -- base codes (strand folded into bit 3) and
+    qualities as bytes, one ``(start, length, mapq)`` entry per block
+    -- so a read costs a few buffer appends and no per-read arrays.
+    Because every later read starts at or after the current one, all
+    columns strictly left of the newest read's start are complete.
+    The completed window is assembled into a
+    :class:`~repro.pileup.column.ColumnBatch` (sliced zero-copy into
+    work units of at most ``batch_columns`` columns, strand/mapq planes
+    still lazy) and its bases leave the buffers as soon as either
 
-    Peak construction memory is therefore bounded by the bases of one
-    window (roughly ``batch_columns`` x depth, plus one read span) --
-    **not** by the chunk being scanned, which is what lets a
+    * the scan has passed ``batch_columns`` reference positions since
+      the last flush, or
+    * :data:`PENDING_BASE_BUDGET` bases have been deposited since the
+      last flush.
+
+    Memory is therefore bounded by the bases of the reads overlapping
+    the scan frontier (read length x depth, which any column sweep
+    must hold) plus one budget of new bases, whatever the depth, the
+    column cap or the size of the region -- which is what lets a
     whole-genome region stream through the caller in constant memory.
 
     Columns, offsets, depth capping, ``min_baseq`` filtering and the
@@ -455,8 +515,9 @@ class ColumnBatchBuilder:
             :class:`~repro.pileup.engine.PileupConfig`).
         batch_columns: flush granularity -- emitted batches hold at
             most this many columns.  ``None`` disables incremental
-            flushing: everything is assembled as one batch by
-            :meth:`finish` (the whole-chunk compatibility mode).
+            flushing (the base budget included): everything is
+            assembled as one batch by :meth:`finish` (the whole-chunk
+            compatibility mode).
 
     Raises:
         ValueError: if ``batch_columns`` is not positive.
@@ -478,21 +539,24 @@ class ColumnBatchBuilder:
         self.region = region
         self.config = config or PileupConfig()
         self.batch_columns = batch_columns
-        # Bound once per builder, not once per record: add_read sits
-        # on the hottest per-record path (import at call time avoids
-        # the io<->pileup module cycle at import time).
-        from repro.io.bam import aligned_base_arrays
-
-        self._aligned_base_arrays = aligned_base_arrays
         #: True once a read at or beyond ``region.end`` has been seen:
         #: no further column can change, so driver loops may stop
         #: feeding reads (mirroring the streaming sweep's early break).
         self.done = False
-        self._pos_parts: List[np.ndarray] = []
-        self._code_parts: List[np.ndarray] = []
-        self._qual_parts: List[np.ndarray] = []
-        self._rev_flags: List[bool] = []
-        self._mapq_vals: List[int] = []
+        # Pending bases, written block after block into buffers grown
+        # by doubling and compacted in place (no reallocation per
+        # read); flushed heads leave dead bytes behind until the next
+        # compaction.
+        self._codes = bytearray()
+        self._quals = bytearray()
+        self._used = 0
+        # One entry per pending block: reference start, length and
+        # buffer offset of its unflushed bases, and its mapq.
+        self._starts = array("q")
+        self._lens = array("q")
+        self._offsets = array("q")
+        self._mapqs = array("B")
+        self._since_flush = 0
         self._flush_from = region.start
         self._last_read_pos = -1
         self._finished = False
@@ -502,7 +566,8 @@ class ColumnBatchBuilder:
 
         Read-level semantics -- chromosome/region skips, flag and
         mapping-quality filters, the coordinate-sort check -- are
-        identical to :func:`repro.pileup.engine.pileup`.
+        identical to :func:`repro.pileup.engine.pileup`.  A record
+        without a sequence (SAM ``*``) deposits nothing.
 
         Raises:
             ValueError: if the input violates coordinate sorting, or
@@ -512,22 +577,33 @@ class ColumnBatchBuilder:
             raise ValueError("builder already finished")
         if read.rname != self.region.chrom or read.is_unmapped:
             return []
-        if read.pos < self._last_read_pos:
+        pos = read.pos
+        if pos < self._last_read_pos:
             raise ValueError(
                 f"reads are not coordinate-sorted: {read.qname} at "
-                f"{read.pos} after {self._last_read_pos}"
+                f"{pos} after {self._last_read_pos}"
             )
-        self._last_read_pos = read.pos
-        if read.pos >= self.region.end:
+        self._last_read_pos = pos
+        if pos >= self.region.end:
             self.done = True
             return []
-        out = self._maybe_flush(read.pos)
-        if read.reference_end <= self.region.start:
+        out = self._maybe_flush(pos)
+        cigar = read.cigar
+        if len(cigar) == 1 and cigar[0][0] in ALIGNED_OPS:
+            blocks = [(pos, 0, cigar[0][1])]
+        else:
+            blocks = aligned_blocks(cigar, pos)
+        if not blocks or not read.seq:
             return out
-        if not self.config.read_passes(read):
+        ref, _, n = blocks[-1]
+        if ref + n <= self.region.start or not self.config.read_passes(read):
             return out
-        positions, codes, quals = self._aligned_base_arrays(read)
-        self._deposit(positions, codes, quals, read.is_reverse, read.mapq)
+        table = _REVERSE_CODES if read.is_reverse else _FORWARD_CODES
+        codes = read.seq.encode("ascii").translate(table)
+        quals = read.qual.tobytes() if read.qual.size else bytes(len(codes))
+        mapq = min(read.mapq, 255)
+        for ref, q, n in blocks:
+            self._push(ref, codes, quals, q, n, mapq)
         return out
 
     def add(
@@ -551,7 +627,8 @@ class ColumnBatchBuilder:
         """
         if self._finished:
             raise ValueError("builder already finished")
-        if positions.size == 0:
+        n = positions.size
+        if n == 0:
             return []
         start = int(positions[0])
         if start < self._last_read_pos:
@@ -564,7 +641,15 @@ class ColumnBatchBuilder:
             self.done = True
             return []
         out = self._maybe_flush(start)
-        self._deposit(positions, codes, quals, reverse, mapq)
+        packed = np.asarray(codes, dtype=np.uint8) | np.uint8(8 * bool(reverse))
+        packed = packed.tobytes()
+        qual_bytes = np.asarray(quals, dtype=np.uint8).tobytes()
+        cuts = [0, *(np.flatnonzero(np.diff(positions) != 1) + 1).tolist(), n]
+        for lo, hi in zip(cuts, cuts[1:]):
+            self._push(
+                int(positions[lo]), packed, qual_bytes, lo, hi - lo,
+                min(int(mapq), 255),
+            )
         return out
 
     def finish(self) -> List[ColumnBatch]:
@@ -580,110 +665,121 @@ class ColumnBatchBuilder:
 
     # -- internals ---------------------------------------------------------
 
-    def _deposit(
-        self,
-        positions: np.ndarray,
-        codes: np.ndarray,
-        quals: np.ndarray,
-        reverse: bool,
-        mapq: int,
+    def _push(
+        self, ref: int, codes: bytes, quals: bytes, q: int, n: int, mapq: int
     ) -> None:
-        """Clip one read's segment to the region and keep it pending."""
-        lo = int(np.searchsorted(positions, self.region.start, side="left"))
-        hi = int(np.searchsorted(positions, self.region.end, side="left"))
+        """Append one aligned block (reference start ``ref``, query
+        bases ``q .. q+n``), clipped to the region."""
+        lo = max(ref, self.region.start)
+        hi = min(ref + n, self.region.end)
         if hi <= lo:
             return
-        self._pos_parts.append(positions[lo:hi])
-        self._code_parts.append(codes[lo:hi])
-        self._qual_parts.append(quals[lo:hi])
-        self._rev_flags.append(bool(reverse))
-        self._mapq_vals.append(min(int(mapq), 255))
+        q += lo - ref
+        n = hi - lo
+        used = self._used
+        end = used + n
+        if end > len(self._codes):
+            grow = bytes(max(end, 2 * len(self._codes), 4096) - len(self._codes))
+            self._codes += grow
+            self._quals += grow
+        self._codes[used:end] = codes[q : q + n]
+        self._quals[used:end] = quals[q : q + n]
+        self._offsets.append(used)
+        self._used = end
+        self._starts.append(lo)
+        self._lens.append(n)
+        self._mapqs.append(mapq)
+        self._since_flush += n
 
     def _maybe_flush(self, frontier: int) -> List[ColumnBatch]:
-        """Flush the complete window once the scan has advanced at
-        least ``batch_columns`` positions past the last flush."""
+        """Flush the complete window once the scan has advanced
+        ``batch_columns`` positions, or the pending-base budget has
+        filled, since the last flush."""
         if self.batch_columns is None:
             return []
-        if frontier - self._flush_from < self.batch_columns:
+        if (
+            frontier - self._flush_from < self.batch_columns
+            and self._since_flush < PENDING_BASE_BUDGET
+        ):
             return []
         return self._flush(frontier)
 
     def _flush(self, bound: int) -> List[ColumnBatch]:
         """Assemble and emit every column strictly left of ``bound``.
 
-        Segments straddling the boundary are split zero-copy (their
-        tails stay pending in arrival order, so a read spanning any
-        number of flush boundaries deposits into each window exactly
-        the bases that belong there, in the same within-column order
-        as a whole-chunk build).
+        Blocks straddling the boundary are split: their tails stay
+        pending in arrival order, so a read spanning any number of
+        flush boundaries deposits into each window exactly the bases
+        that belong there, in the same within-column order as a
+        whole-chunk build.  Tails stay where they are in the buffers;
+        the buffers are compacted only once dead bytes outnumber live
+        ones, so a flush costs its window, not the reads it carries
+        over.
         """
         bound = min(bound, self.region.end)
-        if bound <= self._flush_from:
+        self._since_flush = 0
+        out: List[ColumnBatch] = []
+        while bound > self._flush_from:
+            out.extend(self._flush_window(bound))
+        return out
+
+    def _flush_window(self, bound: int) -> List[ColumnBatch]:
+        """Emit the columns from the last flush up to ``bound`` -- or,
+        in incremental mode, up to the first column at which the
+        window would exceed :data:`PENDING_BASE_BUDGET` bases (at least
+        one column) -- and advance the flush point past them."""
+        if not self._starts:
+            self._flush_from = bound
             return []
-        win_pos: List[np.ndarray] = []
-        win_codes: List[np.ndarray] = []
-        win_quals: List[np.ndarray] = []
-        win_rev: List[bool] = []
-        win_mapq: List[int] = []
-        keep_pos: List[np.ndarray] = []
-        keep_codes: List[np.ndarray] = []
-        keep_quals: List[np.ndarray] = []
-        keep_rev: List[bool] = []
-        keep_mapq: List[int] = []
-        for seg_pos, seg_codes, seg_quals, rev, mq in zip(
-            self._pos_parts,
-            self._code_parts,
-            self._qual_parts,
-            self._rev_flags,
-            self._mapq_vals,
-        ):
-            if int(seg_pos[-1]) < bound:
-                win_pos.append(seg_pos)
-                win_codes.append(seg_codes)
-                win_quals.append(seg_quals)
-                win_rev.append(rev)
-                win_mapq.append(mq)
-                continue
-            if int(seg_pos[0]) >= bound:
-                keep_pos.append(seg_pos)
-                keep_codes.append(seg_codes)
-                keep_quals.append(seg_quals)
-                keep_rev.append(rev)
-                keep_mapq.append(mq)
-                continue
-            cut = int(np.searchsorted(seg_pos, bound, side="left"))
-            win_pos.append(seg_pos[:cut])
-            win_codes.append(seg_codes[:cut])
-            win_quals.append(seg_quals[:cut])
-            win_rev.append(rev)
-            win_mapq.append(mq)
-            keep_pos.append(seg_pos[cut:])
-            keep_codes.append(seg_codes[cut:])
-            keep_quals.append(seg_quals[cut:])
-            keep_rev.append(rev)
-            keep_mapq.append(mq)
-        self._pos_parts = keep_pos
-        self._code_parts = keep_codes
-        self._qual_parts = keep_quals
-        self._rev_flags = keep_rev
-        self._mapq_vals = keep_mapq
+        starts = np.frombuffer(self._starts, dtype=np.int64).copy()
+        lens = np.frombuffer(self._lens, dtype=np.int64).copy()
+        head = np.clip(bound - starts, 0, lens)
+        if self.batch_columns is not None and head.sum() > PENDING_BASE_BUDGET:
+            # Bases left of each column, from the blocks' starts and
+            # ends relative to the flush point (no column past the
+            # last pending base holds any).
+            rel = starts - self._flush_from
+            width = min(bound, int((starts + lens).max())) - self._flush_from
+            depth = np.bincount(np.minimum(rel, width), minlength=width + 1)
+            depth -= np.bincount(np.minimum(rel + lens, width), minlength=width + 1)
+            filled = np.cumsum(np.cumsum(depth[:width]))
+            cut = int(np.searchsorted(filled, PENDING_BASE_BUDGET, side="right"))
+            bound = self._flush_from + max(cut, 1)
+            head = np.clip(bound - starts, 0, lens)
         self._flush_from = bound
-        if not win_pos:
+        offsets = np.frombuffer(self._offsets, dtype=np.int64).copy()
+        mapqs = np.frombuffer(self._mapqs, dtype=np.uint8).copy()
+        win = np.flatnonzero(head)
+        batch = None
+        if win.size:
+            batch = _assemble_window(
+                self.region.chrom,
+                starts[win],
+                head[win],
+                offsets[win],
+                mapqs[win],
+                np.frombuffer(self._codes, dtype=np.uint8),
+                np.frombuffer(self._quals, dtype=np.uint8),
+                self.reference,
+                self.config,
+            )
+        keep = np.flatnonzero(head < lens)
+        tail = (lens - head)[keep]
+        offsets = offsets[keep] + head[keep]
+        live = int(tail.sum())
+        if 2 * live < self._used:
+            self._codes[:live] = _gather(self._codes, offsets, tail)
+            self._quals[:live] = _gather(self._quals, offsets, tail)
+            offsets = np.cumsum(tail) - tail
+            self._used = live
+        self._starts = array("q", np.maximum(starts[keep], bound).tobytes())
+        self._lens = array("q", tail.tobytes())
+        self._offsets = array("q", offsets.tobytes())
+        self._mapqs = array("B", mapqs[keep].tobytes())
+        if batch is None or batch.n_columns == 0:
             return []
-        batch = _assemble_window(
-            self.region.chrom,
-            win_pos,
-            win_codes,
-            win_quals,
-            win_rev,
-            win_mapq,
-            self.reference,
-            self.config,
-        )
         cap = self.batch_columns
         n = batch.n_columns
-        if n == 0:
-            return []
         if cap is None or n <= cap:
             return [batch]
         return [
@@ -692,52 +788,128 @@ class ColumnBatchBuilder:
         ]
 
 
+def _ragged_index(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ranges ``offsets[k] .. offsets[k] + lengths[k]``."""
+    idx = np.repeat(offsets - (np.cumsum(lengths) - lengths), lengths)
+    idx += np.arange(idx.size)
+    return idx
+
+
+def _gather(buffer: bytearray, offsets: np.ndarray, lengths: np.ndarray) -> bytes:
+    """The byte ranges ``offsets[k] .. offsets[k] + lengths[k]`` of
+    ``buffer``, concatenated without a per-byte index array (the
+    carried-over reads of a deep pileup hold far more bases than one
+    window)."""
+    view = memoryview(buffer)
+    return b"".join(
+        [view[o : o + n] for o, n in zip(offsets.tolist(), lengths.tolist())]
+    )
+
+
 def _assemble_window(
     chrom: str,
-    pos_parts: List[np.ndarray],
-    code_parts: List[np.ndarray],
-    qual_parts: List[np.ndarray],
-    rev_flags: List[bool],
-    mapq_vals: List[int],
+    starts: np.ndarray,
+    lens: np.ndarray,
+    offsets: np.ndarray,
+    mapqs: np.ndarray,
+    codes: np.ndarray,
+    quals: np.ndarray,
     reference: str,
     cfg: PileupConfig,
 ) -> ColumnBatch:
-    """One window's segments -> one batch: concatenate in read-arrival
-    order, mask ``min_baseq``, stable-sort by position (preserving the
-    streaming deposit order within each column), defer the strand/mapq
-    scatters into a lazy planes thunk."""
-    positions = np.concatenate(pos_parts)
-    flat_codes = np.concatenate(code_parts)
-    flat_quals = np.concatenate(qual_parts)
-    counts = np.array([p.size for p in pos_parts], dtype=np.int64)
+    """One window's blocks -> one batch.
 
-    mask = flat_quals >= cfg.min_baseq
-    all_in = bool(mask.all())
-    if not all_in:
-        positions = positions[mask]
-        flat_codes = flat_codes[mask]
-        flat_quals = flat_quals[mask]
-    if positions.size == 0:
+    ``starts``/``lens``/``offsets``/``mapqs`` describe the window's
+    aligned blocks in arrival order: reference start, length, offset
+    of their bases in the ``codes`` (base code, strand in bit 3) and
+    ``quals`` buffers, and mapping quality.  Bases are deposited
+    column-major by scatters through a permutation that preserves
+    arrival order within each column (the streaming deposit order),
+    :data:`ASSEMBLY_BASES` bases at a time, then ``min_baseq`` is
+    masked and the strand/mapq planes are deferred into a lazy thunk.
+
+    When block starts and ends both rise with arrival -- every window
+    of ungapped equal-length reads -- the permutation is *computed*,
+    as in :func:`pileup_batch_from_arrays`: the blocks covering column
+    ``c`` are a contiguous run of arrival indices starting at
+    ``passed[c]`` (the number of blocks ending at or before ``c``), so
+    block ``k``'s base lands at ``col_start[c] + k - passed[c]``.
+    Other windows (gaps, mixed read lengths) take a stable sort of the
+    narrow column indices instead.
+    """
+    lo = int(starts.min())
+    rel = starts - lo
+    ends = rel + lens
+    width = int(ends.max())
+    depth = np.cumsum(
+        np.bincount(rel, minlength=width + 1)
+        - np.bincount(ends, minlength=width + 1)
+    )[:width]
+    col_start = np.zeros(width + 1, dtype=np.int64)
+    np.cumsum(depth, out=col_start[1:])
+    monotone = bool((rel[1:] >= rel[:-1]).all() and (ends[1:] >= ends[:-1]).all())
+    # One 16-bit word per base carries its code, strand (bit 3) and
+    # mapq (high byte), so the lazy planes need no permutation.
+    words = np.empty(int(col_start[-1]), dtype=np.uint16)
+    q_sorted = np.empty(words.size, dtype=np.uint8)
+    c0 = 0
+    while c0 < width:
+        c1 = int(
+            np.searchsorted(col_start, col_start[c0] + ASSEMBLY_BASES, "right")
+        ) - 1
+        c1 = min(max(c1, c0 + 1), width)
+        # The blocks' pieces inside columns [c0, c1), still in arrival
+        # order (and still monotone when the blocks are).
+        a = np.clip(c0 - rel, 0, lens)
+        n = np.clip(c1 - rel, 0, lens) - a
+        sel = np.flatnonzero(n)
+        a, n = a[sel], n[sel]
+        piece = rel[sel] + a - c0
+        idx = _ragged_index(offsets[sel] + a, n)
+        word = codes[idx].astype(np.uint16)
+        word |= np.repeat(mapqs[sel].astype(np.uint16) << 8, n)
+        qual = quals[idx]
+        del idx
+        cols = np.repeat(piece - (np.cumsum(n) - n), n)
+        cols += np.arange(cols.size)
+        if monotone:
+            passed = np.searchsorted(piece + n, np.arange(c1 - c0), "right")
+            dest = (col_start[c0:c1] - passed)[cols]
+            del cols
+            dest += np.repeat(np.arange(sel.size), n)
+        else:
+            key = cols.astype(np.uint16 if c1 - c0 <= 1 << 16 else np.int64)
+            del cols
+            dest = np.empty(key.size, dtype=np.intp)
+            dest[np.argsort(key, kind="stable")] = np.arange(key.size)
+            dest += col_start[c0]
+        words[dest] = word
+        q_sorted[dest] = qual
+        c0 = c1
+    if cfg.min_baseq > 0:
+        keep = q_sorted >= cfg.min_baseq
+        if not keep.all():
+            nonempty = np.flatnonzero(depth)
+            depth = np.zeros(width, dtype=np.int64)
+            depth[nonempty] = np.add.reduceat(
+                keep, col_start[nonempty], dtype=np.int64
+            )
+            words = words[keep]
+            q_sorted = q_sorted[keep]
+    if words.size == 0:
         return ColumnBatch.empty(chrom)
-
-    order = np.argsort(positions, kind="stable")
+    columns = np.flatnonzero(depth)
 
     def planes() -> Tuple[np.ndarray, np.ndarray]:
-        """Deferred strand/mapq scatters for this window."""
-        rev = np.repeat(np.array(rev_flags, dtype=bool), counts)
-        mqs = np.repeat(np.array(mapq_vals, dtype=np.uint8), counts)
-        if not all_in:
-            rev = rev[mask]
-            mqs = mqs[mask]
-        return rev[order], mqs[order]
+        """Deferred strand/mapq planes for this window."""
+        return (words & 8) != 0, (words >> 8).astype(np.uint8)
 
-    return _batch_from_flat(
+    return _batch_from_columns(
         chrom,
-        positions[order],
-        flat_codes[order],
-        flat_quals[order],
-        None,
-        None,
+        columns + lo,
+        depth[columns],
+        (words & 7).astype(np.uint8),
+        q_sorted,
         reference,
         cfg,
         planes=planes,
@@ -792,13 +964,13 @@ def pileup_batch_from_reads(
     """Columnar pileup over coordinate-sorted alignments, as one batch.
 
     The CIGAR-aware twin of :func:`pileup_batch_from_arrays`: each
-    read's aligned bases are decoded into flat arrays in one shot
-    (:func:`repro.io.bam.aligned_base_arrays`), concatenated in read
-    order, filtered, and stable-sorted by position -- so within a
-    column bases keep the streaming engine's deposit order and the
-    depth cap drops exactly the same reads.  Read-level semantics
-    (chromosome/region skips, flag filters, the coordinate-sort check)
-    are identical to :func:`repro.pileup.engine.pileup`.
+    read's aligned blocks are buffered in read order and deposited
+    column-major by an arrival-order-preserving permutation -- so
+    within a column bases keep the streaming engine's deposit order
+    and the depth cap drops exactly the same reads.  Read-level
+    semantics (chromosome/region skips, flag filters, the
+    coordinate-sort check) are identical to
+    :func:`repro.pileup.engine.pileup`.
 
     Implemented as a one-window :class:`ColumnBatchBuilder` pass
     (``batch_columns=None``), so construction memory is the whole
@@ -807,10 +979,10 @@ def pileup_batch_from_reads(
     flush window.
 
     The batch's strand/mapq planes are built *lazily*: the screen only
-    reads base codes and qualities, so the per-base strand/mapq
-    scatters are deferred into the batch and run only if the
-    ``merge_mapq`` error model or a surviving column's DP4 actually
-    needs them (pure screen-outs skip them entirely).
+    reads base codes and qualities, so the planes are unpacked from
+    the batch's packed per-base words only if the ``merge_mapq`` error
+    model or a surviving column's DP4 actually needs them (pure
+    screen-outs skip them entirely).
 
     Raises:
         ValueError: if the input violates coordinate sorting.

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import time
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.caller import VariantCaller
@@ -49,6 +50,9 @@ from repro.pipeline.sources import ColumnSource
 __all__ = ["ExecutionPolicy", "Pipeline"]
 
 _MODES = ("serial", "thread", "process", "legacy")
+
+#: Trace categories a source records for its pulls.
+_PULL_CATEGORIES = (Category.DECOMPRESS, Category.BAM_ITER)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,19 +137,31 @@ def _evaluate_chunk(
     source records its own BAM_ITER/DECOMPRESS time per pull -- and
     each batch is evaluated as its own unit, so a lazily-built chunk
     never has all its batches in memory at once.
+
+    The chunk's ``time_total`` is its whole wall time, source pulls
+    included, and its ``time_pileup`` the part the source recorded as
+    pulls (inflation, decode and pileup build) on ``tracer``.
     """
+    t0 = time.perf_counter()
+    pulled = tracer.busy(worker, *_PULL_CATEGORIES)
     units, is_batch_stream = _chunk_units(
         source, caller, chunk, tracer, worker
     )
+    done = CallResult(calls=[], stats=RunStats())
     if not is_batch_stream:
         with tracer.span(worker, Category.PROB):
             result = caller.call_columns(units, scope, apply_filters=False)
-        merged.merge(result)
-        return
-    for batch in units:
-        with tracer.span(worker, Category.PROB):
-            result = caller.call_columns(batch, scope, apply_filters=False)
-        merged.merge(result)
+        done.merge(result)
+    else:
+        for batch in units:
+            with tracer.span(worker, Category.PROB):
+                result = caller.call_columns(
+                    batch, scope, apply_filters=False
+                )
+            done.merge(result)
+    done.stats.time_pileup = tracer.busy(worker, *_PULL_CATEGORIES) - pulled
+    done.stats.time_total = time.perf_counter() - t0
+    merged.merge(done)
 
 
 def _worker_loop(

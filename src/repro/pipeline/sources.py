@@ -425,8 +425,9 @@ class BamSource:
 
     Raises:
         ValueError: if a single reference string is paired with regions
-            on more than one contig, ``batch_columns`` /
-            ``cache_blocks`` is not positive, or
+            on more than one contig, a called contig's reference
+            sequence differs in length from the BAM header,
+            ``batch_columns`` / ``cache_blocks`` is not positive, or
             ``decompress_threads`` is negative.
     """
 
@@ -505,6 +506,7 @@ class BamSource:
         else:
             self._regions = list(regions)
         self._refmap = self._build_refmap(reference)
+        self._check_reference_lengths()
         self._index_lock = threading.Lock()
         self._local = threading.local()
         self._all_readers: List[object] = []
@@ -524,6 +526,20 @@ class BamSource:
         for name, seq in reference.items():
             out[name] = seq.sequence if hasattr(seq, "sequence") else str(seq)
         return out
+
+    def _check_reference_lengths(self) -> None:
+        """Reject a reference whose sequence for a called contig
+        differs in length from the BAM header's ``@SQ LN`` -- a
+        different assembly, or a truncated FASTA, which would otherwise
+        fail (or silently mis-call) deep inside the pileup."""
+        header = dict(self.contigs)
+        for chrom in sorted({r.chrom for r in self._regions}):
+            seq = self._refmap.get(chrom)
+            if seq is not None and chrom in header and len(seq) != header[chrom]:
+                raise ValueError(
+                    f"reference sequence {chrom!r} is {len(seq)} bp but "
+                    f"the BAM header declares {header[chrom]} bp"
+                )
 
     def regions(self) -> Sequence[Region]:
         """The configured regions (default: one per header contig)."""
@@ -769,18 +785,19 @@ class BamSource:
     ) -> Iterable[ColumnBatch]:
         """The chunk as a lazy stream of bounded batch work units.
 
-        The columnar deposit path, now incremental: each record's
-        aligned bases are decoded straight into flat arrays
-        (:func:`repro.io.bam.aligned_base_arrays`) and deposited into
-        a :class:`~repro.pileup.vectorized.ColumnBatchBuilder`, which
+        The columnar deposit path, incremental: each record's aligned
+        blocks are buffered by a
+        :class:`~repro.pileup.vectorized.ColumnBatchBuilder`, which
         flushes a :class:`~repro.pileup.column.ColumnBatch` of at most
-        ``batch_columns`` columns as soon as the scan passes its last
-        column -- no per-base tuples, no per-column objects, and **no
-        whole-chunk flat arrays**: peak construction memory is one
-        flush window regardless of how large (or unchunked) the
-        region is.  Flushed windows wider than ``batch_columns``
-        (sparse coverage) are sliced into zero-copy sub-batches with
-        strand/mapq laziness preserved.
+        ``batch_columns`` columns and
+        :data:`~repro.pileup.vectorized.PENDING_BASE_BUDGET` bases as
+        soon as the scan passes its last column -- no per-base tuples,
+        no per-column objects, and **no whole-chunk flat arrays**:
+        peak construction memory is one bounded window regardless of
+        how deep or large (or unchunked) the region is.  Flushed
+        windows wider than ``batch_columns`` (sparse coverage) are
+        sliced into zero-copy sub-batches with strand/mapq laziness
+        preserved.
 
         Each pull's time is attributed like the eager scan used to be:
         BGZF inflation to ``DECOMPRESS``, the rest of the

@@ -347,10 +347,22 @@ async def _handle_connection(
     """One client connection: JSON request per line, JSON response per
     line.  ``{"op": "stats"}`` returns the service counters;
     request-level failures produce ``{"status": "error", ...}`` and
-    keep the connection open."""
+    keep the connection open.  A line longer than the stream limit
+    (64 KiB) gets one ``ValidationError`` response, after which the
+    connection is closed: the rest of that line cannot be framed."""
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError as exc:
+                response = {
+                    "status": "error",
+                    "kind": "ValidationError",
+                    "error": f"request line too long: {exc}",
+                }
+                writer.write(json.dumps(response).encode("utf-8") + b"\n")
+                await writer.drain()
+                break
             if not line:
                 break
             try:

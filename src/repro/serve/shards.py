@@ -220,12 +220,15 @@ class ShardWorker(threading.Thread):
                 kwargs["cache_blocks"] = self.cache_blocks
             if self.decompress_threads is not None:
                 kwargs["decompress_threads"] = self.decompress_threads
-            source = BamSource(
-                bam.path,
-                self._reference_for(ref_fp),
-                pileup_config=request.pileup,
-                **kwargs,
-            )
+            try:
+                source = BamSource(
+                    bam.path,
+                    self._reference_for(ref_fp),
+                    pileup_config=request.pileup,
+                    **kwargs,
+                )
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from exc
             self._sources.put(key, source)
         return source
 

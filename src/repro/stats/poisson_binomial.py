@@ -152,15 +152,18 @@ def poibin_sf_dp(
     # head[j] = P_n(X = j) for j in 0..k-1; tail = P_n(X >= k).
     head = np.zeros(k, dtype=np.float64)
     head[0] = 1.0
+    low, high = head[:-1], head[1:]
+    shifted = np.empty(k - 1, dtype=np.float64)
     tail = 0.0
-    for n in range(d):
-        pn = p[n]
+    for n, pn in enumerate(p.tolist()):
         if pn == 0.0:
             continue
         # Mass leaking from head[k-1] past the boundary joins the tail.
-        tail += head[k - 1] * pn
-        head[1:] = head[1:] * (1.0 - pn) + head[:-1] * pn
-        head[0] *= 1.0 - pn
+        tail += float(head[k - 1]) * pn
+        # head[j] = head[j] * (1 - pn) + head[j - 1] * pn, in place.
+        np.multiply(low, pn, out=shifted)
+        head *= 1.0 - pn
+        high += shifted
         if prune_above is not None and tail > prune_above:
             return DpResult(tail, False, n + 1)
     return DpResult(tail, True, d)
@@ -207,6 +210,11 @@ _COMPACT_FRACTION = 0.5
 #: streaming pass over the plane in total -- and serves the per-step
 #: columns out of the cache-resident slab.
 _SWEEP_BLOCK = 128
+
+#: Batches of at most this many running lanes take the scalar DP lane
+#: by lane: at depth 3000 four scalar lanes took 42 ms against 62 ms
+#: for the sweep, which wins from about eight lanes on.
+_SCALAR_LANES = 4
 
 
 def poibin_sf_dp_batch(
@@ -308,7 +316,18 @@ def poibin_sf_dp_batch(
     # ks > length lanes keep pvalue 0.0 / steps 0, like the scalar DP.
     run = (ks_arr > 0) & (ks_arr <= lens_all)
     sel = np.nonzero(run)[0]
-    if sel.size == 0:
+    if sel.size <= _SCALAR_LANES:
+        # Too few lanes to amortise the sweep's per-step array calls:
+        # the scalar DP gives the same bits in fewer operations.
+        for lane in sel.tolist():
+            res = poibin_sf_dp(
+                int(ks_arr[lane]),
+                p[lane, : lens_all[lane]],
+                prune_above=prune_above,
+            )
+            pvalues[lane] = res.pvalue
+            complete[lane] = res.complete
+            steps[lane] = res.steps
         return BatchDpResult(pvalues, complete, steps)
 
     # Right-aligned head state: lane i's P(X = j) lives at column
@@ -325,7 +344,7 @@ def poibin_sf_dp_batch(
     n_alive = n_lanes
     # Lanes complete exactly at n == their length, so the completion
     # scan only needs to run at those step counts.
-    len_events = np.unique(lane_len)
+    len_events = np.flatnonzero(np.bincount(lane_len))
     len_ptr = 0
 
     def retire(rows: np.ndarray) -> None:

@@ -725,3 +725,30 @@ class TestMapqProfile:
                 ["simulate", "--out-bam", "x.bam",
                  "--mapq-profile", "weird"]
             )
+
+
+class TestReferenceMismatch:
+    @pytest.mark.parametrize("engine", ["batched", "streaming"])
+    def test_short_reference_exits_2_with_one_line(
+        self, workspace, tmp_path, capsys, engine
+    ):
+        """A FASTA cut shorter than the BAM header's @SQ length is
+        rejected before any pileup runs, on either engine."""
+        from repro.io.fasta import FastaRecord, load_reference, write_fasta
+
+        (name, seq), = load_reference(workspace / "ref.fa").items()
+        short = tmp_path / "short.fa"
+        write_fasta(short, [FastaRecord(name, "", str(seq)[:300])])
+        rc = main(
+            [
+                "call", str(workspace / "sample.bam"),
+                "--reference", str(short),
+                "--out", str(tmp_path / "x.vcf"),
+                "--engine", engine,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "300 bp" in err and "900 bp" in err
+        assert not (tmp_path / "x.vcf").exists()

@@ -312,6 +312,83 @@ class TestColumnBatchBuilder:
             assert_batches_identical(whole, merged)
             assert (merged.depths <= 15).all()
 
+    @pytest.mark.parametrize("budget,slice_bases", [(1, 1), (500, 37), (4000, 512)])
+    def test_base_budget_bounds_windows(self, monkeypatch, budget, slice_bases):
+        """Flushes forced by the pending-base budget, and windows
+        assembled in slices, change no column; each batch holds at most
+        the budget's bases unless it is a single column."""
+        from repro.pileup import vectorized
+
+        monkeypatch.setattr(vectorized, "PENDING_BASE_BUDGET", budget)
+        monkeypatch.setattr(vectorized, "ASSEMBLY_BASES", slice_bases)
+        genome, sample, config, region = _workload(505)
+        reads = sample.read_list()
+        stream = ColumnBatch.from_columns(
+            list(pileup(iter(reads), genome.sequence, region, config)),
+            chrom=region.chrom,
+        )
+        pieces = list(
+            vectorized.iter_pileup_batches(
+                iter(reads), genome.sequence, region, config,
+                batch_columns=4096,
+            )
+        )
+        assert len(pieces) > 1
+        for piece in pieces:
+            assert piece.n_columns == 1 or int(piece.offsets[-1]) <= budget
+        assert_batches_identical(stream, self._merged(pieces, region.chrom))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_gapped_mixed_length_reads_match_streaming(self, monkeypatch, seed):
+        """Deletions, skips, insertions, clips and mixed read lengths
+        (the stable-sort deposit) agree with the streaming engine at
+        every flush granularity."""
+        from repro.io.cigar import query_length
+        from repro.pileup import vectorized
+
+        monkeypatch.setattr(vectorized, "ASSEMBLY_BASES", 64)
+        rng = np.random.default_rng(seed)
+        reads = []
+        for i, pos in enumerate(np.sort(rng.integers(0, 300, 150))):
+            ops = [(CigarOp.S, 2)] if i % 5 == 0 else []
+            for j in range(int(rng.integers(1, 4))):
+                if j:
+                    ops.append((CigarOp(int(rng.choice([1, 2, 3]))), 3))
+                ops.append((CigarOp.M, int(rng.integers(5, 40))))
+            n = query_length(ops)
+            reads.append(
+                AlignedRead(
+                    qname=f"g{i}", flag=16 * (i % 2), rname="chrG",
+                    pos=int(pos), mapq=int(rng.integers(0, 61)), cigar=ops,
+                    seq="".join(rng.choice(list("ACGTN"), n)),
+                    qual=rng.integers(0, 41, n).astype(np.uint8),
+                )
+            )
+        reference = "ACGT" * 100
+        region = Region("chrG", 10, 380)
+        config = PileupConfig(min_baseq=10, max_depth=30)
+        stream = ColumnBatch.from_columns(
+            list(pileup(iter(reads), reference, region, config)),
+            chrom=region.chrom,
+        )
+        for batch_columns in (None, 1, 9, 4096):
+            if batch_columns is None:
+                pieces = [
+                    pileup_batch_from_reads(
+                        iter(reads), reference, region, config
+                    )
+                ]
+            else:
+                pieces = list(
+                    vectorized.iter_pileup_batches(
+                        iter(reads), reference, region, config,
+                        batch_columns=batch_columns,
+                    )
+                )
+            assert_batches_identical(
+                stream, self._merged(pieces, region.chrom)
+            )
+
     def test_unsorted_input_raises(self):
         from repro.pileup.vectorized import ColumnBatchBuilder
 

@@ -664,3 +664,43 @@ class TestStreamingColumnsFor:
             policy=ExecutionPolicy(mode="thread", n_workers=3, chunk_columns=128),
         ).run()
         assert result.keys() == expected.keys()
+
+
+class TestStageClock:
+    """``time_total`` is each chunk's wall time, source pulls included;
+    ``time_pileup`` is the pull time the source traced within it."""
+
+    @pytest.mark.parametrize("engine", ["batched", "streaming"])
+    def test_total_covers_pileup_and_most_of_a_serial_wall(
+        self, bam_workspace, genome, engine
+    ):
+        import time
+
+        _, bam = bam_workspace
+        t0 = time.perf_counter()
+        result = Pipeline(
+            BamSource(bam, genome.sequence),
+            config=CallerConfig(engine=engine),
+        ).run()
+        wall = time.perf_counter() - t0
+        stats = result.stats
+        assert 0 < stats.time_pileup < stats.time_total <= wall
+        assert stats.time_stats < stats.time_total
+        # Only filtering and the I/O-counter fold run outside the
+        # chunk clock of a serial run.
+        assert stats.time_total >= 0.8 * wall
+
+    def test_thread_workers_sum_within_workers_times_wall(
+        self, bam_workspace, genome
+    ):
+        import time
+
+        _, bam = bam_workspace
+        t0 = time.perf_counter()
+        result = Pipeline(
+            BamSource(bam, genome.sequence),
+            policy=ExecutionPolicy(mode="thread", n_workers=2, chunk_columns=256),
+        ).run()
+        wall = time.perf_counter() - t0
+        stats = result.stats
+        assert 0 < stats.time_pileup < stats.time_total <= 2 * wall

@@ -4,10 +4,11 @@ must be the identity on arbitrary inputs."""
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.io.bam import decode_record, encode_record
+from repro.io.bam import BamFormatError, decode_record, encode_record
 from repro.io.bgzf import BgzfReader, BgzfWriter
 from repro.io.cigar import CigarOp, cigar_to_string, parse_cigar
 from repro.io.fastq import ascii_to_phred, phred_to_ascii
@@ -97,6 +98,45 @@ class TestBgzfProperties:
         reader.seek(marks[base])
         reader.read(offset - base)
         assert reader.read() == payload[offset:]
+
+
+def _decode_or_reject(body: bytes) -> None:
+    """A damaged record either decodes consistently with its own
+    ``l_seq`` or raises :class:`BamFormatError` -- never ``IndexError``,
+    ``struct.error`` or a short sequence."""
+    try:
+        read = decode_record(body, HEADER)
+    except BamFormatError as exc:
+        assert exc.field in str(exc)
+        return
+    l_seq = int.from_bytes(body[16:20], "little", signed=True)
+    assert len(read.seq) == l_seq
+    assert read.qual.size == l_seq
+
+
+class TestDecodeRejectsDamagedRecords:
+    @given(aligned_reads(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_truncated_record(self, read, data):
+        body = encode_record(read, HEADER)
+        cut = data.draw(st.integers(0, len(body) - 1))
+        _decode_or_reject(body[:cut])
+
+    @given(aligned_reads(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_mutated_record(self, read, data):
+        body = bytearray(encode_record(read, HEADER))
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(body) - 1))
+            body[i] = data.draw(st.integers(0, 255))
+        _decode_or_reject(bytes(body))
+
+    def test_error_names_the_field(self):
+        read = AlignedRead.simple("r", "chr1", 5, "ACGTACGT", [30] * 8)
+        body = bytearray(encode_record(read, HEADER))
+        body[16:20] = (1000).to_bytes(4, "little")  # l_seq past the end
+        with pytest.raises(BamFormatError, match="l_seq"):
+            decode_record(bytes(body), HEADER)
 
 
 class TestRecordCodecProperties:

@@ -465,6 +465,46 @@ class TestTcpFrontEnd:
         assert stats["stats"]["computed"] == 1
 
 
+class TestTcpHardening:
+    def test_line_over_stream_limit_gets_error_then_close(self, dataset):
+        service = CallService(default_reference=dataset["ref"], n_workers=1)
+
+        async def scenario():
+            server = await serve_tcp(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"x" * (70 * 1024) + b"\n")
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            rest = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return reply, rest
+
+        try:
+            reply, rest = asyncio.run(scenario())
+        finally:
+            service.close()
+        assert reply["status"] == "error"
+        assert reply["kind"] == "ValidationError"
+        assert rest == b""  # the server closed the connection
+
+    def test_reference_shorter_than_header_is_validation_error(
+        self, dataset, tmp_path
+    ):
+        from repro.io.fasta import FastaRecord
+
+        genome = dataset["genome"]
+        short = str(tmp_path / "short.fa")
+        write_fasta(
+            short, [FastaRecord(genome.name, "", genome.sequence[:300])]
+        )
+        with ServeClient(default_reference=short, n_workers=1) as client:
+            with pytest.raises(ValidationError, match="300 bp"):
+                client.call(dataset["bam"])
+
+
 class TestDecompressThreads:
     """The pooled BGZF reader behind the serve path changes no bytes."""
 
